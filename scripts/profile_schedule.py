@@ -17,9 +17,13 @@ Usage::
     PYTHONPATH=src python scripts/profile_schedule.py --out profile.pstats
 
 ``--out`` saves the raw stats for ``snakeviz``/``pstats`` digging; the
-printed report is always emitted.  ``--no-sweep`` disables the
-incremental II-sweep (every II a fresh Floyd–Warshall), which is the
-interesting A/B when profiling the engine itself.
+printed report is always emitted, preceded by one per-phase line: the
+cumulative seconds of ordering (the scheduler's ``prepare``), MinDist
+(``SchedulingSession.mindist``), bounds (``StartBounds.place``) and the
+MRT (``ModuloReservationTable.scan_place``), read from the same profile.
+``--no-sweep`` disables the incremental II-sweep (every II a fresh
+Floyd–Warshall), which is the interesting A/B when profiling the engine
+itself.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.engine.session import SchedulingSession  # noqa: E402
+from repro.engine.windows import StartBounds  # noqa: E402
 from repro.machine.configs import machine_from_config  # noqa: E402
+from repro.machine.mrt import ModuloReservationTable  # noqa: E402
 from repro.mii.analysis import compute_mii  # noqa: E402
 from repro.schedulers.registry import (  # noqa: E402
     available_schedulers,
@@ -47,6 +53,23 @@ from repro.workloads.synthetic import random_ddg  # noqa: E402
 #: use (seed offset 1 — a deep, ~45-attempt II search).
 DEFAULT_SIZE = 160
 DEFAULT_SEED_OFFSET = 1
+
+
+def phase_seconds(stats: pstats.Stats, scheduler) -> dict[str, float]:
+    """Cumulative profiled seconds of each placement-search phase."""
+    phases = {
+        "ordering": type(scheduler).prepare,
+        "mindist": SchedulingSession.mindist,
+        "bounds": StartBounds.place,
+        "mrt": ModuloReservationTable.scan_place,
+    }
+    seconds = {}
+    for phase, function in phases.items():
+        code = function.__code__
+        key = (code.co_filename, code.co_firstlineno, code.co_name)
+        entry = stats.stats.get(key)
+        seconds[phase] = entry[3] if entry is not None else 0.0
+    return seconds
 
 
 def resolve_graph(args: argparse.Namespace):
@@ -165,6 +188,13 @@ def main(argv: list[str] | None = None) -> int:
         f"{session.sweep_stats()}"
     )
     stats = pstats.Stats(profiler)
+    print(
+        "profile_schedule: phases (cumulative s): "
+        + ", ".join(
+            f"{phase} {seconds:.3f}"
+            for phase, seconds in phase_seconds(stats, scheduler).items()
+        )
+    )
     if args.out is not None:
         stats.dump_stats(args.out)
         print(f"profile_schedule: raw stats -> {args.out}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import GraphError
 from repro.graph.ddg import DependenceGraph
 from repro.graph.edges import Edge
 
@@ -51,8 +52,13 @@ class Circuit:
         )
 
 
-class CircuitLimitExceeded(RuntimeError):
-    """More elementary circuits than the configured cap."""
+class CircuitLimitExceeded(GraphError):
+    """More elementary circuits than the configured cap.
+
+    A deterministic property of the graph: enumerating it again hits
+    the same cap, so callers (the service's job runner) must not treat
+    it as transient.
+    """
 
 
 def _min_distance_edge(graph: DependenceGraph, src: str, dst: str) -> Edge:

@@ -47,12 +47,13 @@ class MachineModel:
             if unit.name in self._classes:
                 raise MachineError(f"duplicate unit class {unit.name!r}")
             self._classes[unit.name] = unit
+        self._generic = set(self._classes) == {GENERIC}
 
     # ------------------------------------------------------------------
     @property
     def is_generic(self) -> bool:
         """``True`` when all operations share one general-purpose class."""
-        return set(self._classes) == {GENERIC}
+        return self._generic
 
     def unit_classes(self) -> list[UnitClass]:
         """All unit classes, declaration order."""
@@ -60,7 +61,7 @@ class MachineModel:
 
     def class_for(self, op: Operation) -> UnitClass:
         """The unit class that executes *op*."""
-        if self.is_generic:
+        if self._generic:
             return self._classes[GENERIC]
         try:
             return self._classes[op.opclass]

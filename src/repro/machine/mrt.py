@@ -6,18 +6,19 @@ units, the following ``latency - 1`` rows as well) in **every** iteration.
 All schedulers in the library share this implementation, including the
 ejection-based ones, so slots track their occupant and can be vacated.
 
-Occupancy is held twice: a NumPy boolean mask per unit class (what every
-feasibility test reads — a whole II-length scan window collapses to one
-rolled-mask reduction in :meth:`ModuloReservationTable.scan_place`) and a
-per-slot occupant-name table (what Slack's ejection machinery and the
-diagnostics read).
+Occupancy is held twice: one Python-int row bitmask per unit (bit ``r``
+set while row ``r`` is reserved — what every feasibility test reads) and
+a per-slot occupant-name table (what Slack's ejection machinery and the
+diagnostics read).  A scan folds the units' masks into one "every unit
+blocked" mask — a plain AND for pipelined ops, O(span) shift-ors per
+unit for unpipelined ones — and walks the candidates only until the
+first row whose bit is clear, so its cost follows the window it stops
+in, not the size of the table.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
+from typing import Sequence
 
 from repro.errors import MachineError
 from repro.graph.ops import Operation
@@ -33,10 +34,10 @@ class ModuloReservationTable:
             raise MachineError(f"II must be >= 1, got {ii}")
         self.machine = machine
         self.ii = ii
-        # occupied[class name][unit index, row] -> bool
-        self._occupied: dict[str, np.ndarray] = {
-            unit.name: np.zeros((unit.count, ii), dtype=bool)
-            for unit in machine.unit_classes()
+        self._full = (1 << ii) - 1
+        # busy[class name][unit index] -> row bitmask (bit r: row r taken)
+        self._busy: dict[str, list[int]] = {
+            unit.name: [0] * unit.count for unit in machine.unit_classes()
         }
         # names[class name][unit index][row] -> occupant op name or None
         self._names: dict[str, list[list[str | None]]] = {
@@ -45,45 +46,68 @@ class ModuloReservationTable:
         }
         # op name -> (class name, unit index, start row, span)
         self._placements: dict[str, tuple[str, int, int, int]] = {}
-        self._rows = np.arange(ii, dtype=np.int64)
+        # (opclass, latency) -> (class name, span); fixed by the machine
+        self._kinds: dict[tuple[str, int], tuple[str, int]] = {}
 
     def reset(self) -> None:
         """Vacate every slot; equivalent to a fresh table at the same II.
 
         Sessions reuse one table across a scheduler's repeated attempts
-        at a single II (clearing the arrays in place is far cheaper
-        than reallocating the per-class masks and name tables).
+        at a single II (clearing the masks and name slots in place is
+        far cheaper than reallocating the per-unit name tables).
         """
         for class_name, index, row, span in self._placements.values():
-            occupied = self._occupied[class_name]
             unit_names = self._names[class_name][index]
             for offset in range(span):
-                slot = (row + offset) % self.ii
-                occupied[index, slot] = False
-                unit_names[slot] = None
+                unit_names[(row + offset) % self.ii] = None
         self._placements.clear()
+        for units in self._busy.values():
+            units[:] = [0] * len(units)
 
     # ------------------------------------------------------------------
+    def _kind(self, op: Operation) -> tuple[str, int]:
+        """``(unit class name, reservation span)`` of *op*, cached."""
+        key = (op.opclass, op.latency)
+        kind = self._kinds.get(key)
+        if kind is None:
+            kind = self._kinds[key] = (
+                self.machine.class_for(op).name,
+                self.machine.reservation_cycles(op),
+            )
+        return kind
+
+    def _span_mask(self, row: int, span: int) -> int:
+        """Rows ``row .. row + span - 1`` (mod II) as a bitmask."""
+        mask = ((1 << span) - 1) << row
+        return (mask | (mask >> self.ii)) & self._full
+
+    def _blocked_starts(self, busy: int, span: int) -> int:
+        """Start rows at which a *span*-cycle reservation hits *busy*."""
+        if not busy:
+            return busy
+        # Two back-to-back copies: bit r + o of ``doubled`` is row
+        # (r + o) mod II for every r < II and offset o < span <= II.
+        doubled = busy | (busy << self.ii)
+        blocked = busy
+        for offset in range(1, span):
+            blocked |= doubled >> offset
+        return blocked & self._full
+
     def fits(self, op: Operation, cycle: int) -> bool:
         """Can *op* issue at absolute *cycle* without a resource conflict?"""
         return self._find_unit(op, cycle) is not None
 
     def _find_unit(self, op: Operation, cycle: int) -> int | None:
-        unit_class = self.machine.class_for(op)
-        span = self.machine.reservation_cycles(op)
+        class_name, span = self._kind(op)
         if span > self.ii:
             # An unpipelined unit cannot start a new op every II cycles if
             # one execution lasts longer than II.
             return None
-        row = cycle % self.ii
-        occupied = self._occupied[unit_class.name]
-        if span == 1:
-            busy = occupied[:, row]
-        else:
-            rows = (row + self._rows[:span]) % self.ii
-            busy = occupied[:, rows].any(axis=1)
-        index = int(busy.argmin())  # first free unit
-        return None if busy[index] else index
+        mask = self._span_mask(cycle % self.ii, span)
+        for index, busy in enumerate(self._busy[class_name]):
+            if not busy & mask:
+                return index  # first free unit
+        return None
 
     def place(self, op: Operation, cycle: int) -> bool:
         """Reserve a unit for *op* at *cycle*; ``False`` if none is free."""
@@ -92,73 +116,56 @@ class ModuloReservationTable:
         index = self._find_unit(op, cycle)
         if index is None:
             return False
-        unit_class = self.machine.class_for(op)
-        span = self.machine.reservation_cycles(op)
-        self._reserve(unit_class.name, index, cycle % self.ii, span, op.name)
+        class_name, span = self._kind(op)
+        self._reserve(class_name, index, cycle % self.ii, span, op.name)
         return True
 
     def scan_place(
-        self, op: Operation, candidates: Iterable[int]
+        self, op: Operation, candidates: Sequence[int]
     ) -> int | None:
         """Place *op* at the first candidate cycle with a free unit.
 
-        Equivalent to trying :meth:`place` per candidate, but the whole
-        window is tested at once: the free-start-row mask of every unit
-        is built with one rolled-mask reduction, then the candidates are
-        checked against it in a single vectorized pass.
+        Equivalent to trying :meth:`place` per candidate, but the units'
+        blocked-start masks are built once per scan and the candidates
+        are walked, in order, only until the first free row.
         """
         if op.name in self._placements:
             raise MachineError(f"operation {op.name!r} is already placed")
-        unit_class = self.machine.class_for(op)
-        span = self.machine.reservation_cycles(op)
-        if span > self.ii:
+        class_name, span = self._kind(op)
+        ii = self.ii
+        if span > ii:
             return None
-        if isinstance(candidates, range):
-            cycles = np.arange(
-                candidates.start, candidates.stop, candidates.step,
-                dtype=np.int64,
-            )
-        else:
-            cycles = np.fromiter(candidates, dtype=np.int64)
-        if cycles.size == 0:
-            return None
-        occupied = self._occupied[unit_class.name]
-        if span == 1:
-            unit_free = ~occupied
-        else:
-            # windows[r, o] = row of offset o for a start at row r
-            windows = (self._rows[:, None] + self._rows[None, :span]) % self.ii
-            unit_free = ~occupied[:, windows].any(axis=2)
-        row_free = unit_free.any(axis=0)
-        rows = cycles % self.ii
-        feasible = row_free[rows]
-        first = int(feasible.argmax())
-        placed = None
-        if feasible[first]:
-            row = int(rows[first])
-            index = int(unit_free[:, row].argmax())  # first free unit
-            self._reserve(unit_class.name, index, row, span, op.name)
-            placed = int(cycles[first])
+        blocked = self._busy[class_name]
+        if span > 1:
+            blocked = [self._blocked_starts(busy, span) for busy in blocked]
+        taken = self._full
+        for unit_blocked in blocked:
+            taken &= unit_blocked
+        for cycle in candidates:
+            row = cycle % ii
+            if not taken >> row & 1:
+                for index, unit_blocked in enumerate(blocked):
+                    if not unit_blocked >> row & 1:
+                        break  # first free unit
+                self._reserve(class_name, index, row, span, op.name)
+                return cycle
         # Only failed scans are recorded: successful placements are
         # implied by the schedule itself, and scan_place is the inner
         # placement loop — eventing every call would dominate the
         # enabled-tracing overhead budget.
-        if placed is None and trace.ACTIVE is not None:
+        if trace.ACTIVE is not None and len(candidates):
             trace.add_event(
-                "mrt.scan",
-                {"op": op.name, "candidates": int(cycles.size)},
+                "mrt.scan", {"op": op.name, "candidates": len(candidates)}
             )
-        return placed
+        return None
 
     def _reserve(
         self, class_name: str, index: int, row: int, span: int, name: str
     ) -> None:
-        occupied = self._occupied[class_name]
+        self._busy[class_name][index] |= self._span_mask(row, span)
         unit_names = self._names[class_name][index]
         for offset in range(span):
-            slot = (row + offset) % self.ii
-            occupied[index, slot] = True
-            unit_names[slot] = name
+            unit_names[(row + offset) % self.ii] = name
         self._placements[name] = (class_name, index, row, span)
 
     def unplace(self, op: Operation) -> None:
@@ -167,12 +174,10 @@ class ModuloReservationTable:
         if placement is None:
             return
         class_name, index, row, span = placement
-        occupied = self._occupied[class_name]
+        self._busy[class_name][index] &= ~self._span_mask(row, span)
         unit_names = self._names[class_name][index]
         for offset in range(span):
-            slot = (row + offset) % self.ii
-            occupied[index, slot] = False
-            unit_names[slot] = None
+            unit_names[(row + offset) % self.ii] = None
 
     def is_placed(self, op: Operation) -> bool:
         return op.name in self._placements
@@ -192,11 +197,10 @@ class ModuloReservationTable:
         Returns the union of occupants over the rows *op* would need; when
         the table simply has no capacity the set may cover every unit.
         """
-        unit_class = self.machine.class_for(op)
-        span = self.machine.reservation_cycles(op)
+        class_name, span = self._kind(op)
         row = cycle % self.ii
         blockers: set[str] = set()
-        for unit_names in self._names[unit_class.name]:
+        for unit_names in self._names[class_name]:
             for offset in range(span):
                 occupant = unit_names[(row + offset) % self.ii]
                 if occupant is not None:
@@ -205,6 +209,7 @@ class ModuloReservationTable:
 
     def utilisation(self) -> float:
         """Fraction of slot-rows currently reserved (diagnostics)."""
-        total = sum(occ.size for occ in self._occupied.values())
-        used = sum(int(occ.sum()) for occ in self._occupied.values())
+        units = [busy for masks in self._busy.values() for busy in masks]
+        total = len(units) * self.ii
+        used = sum(busy.bit_count() for busy in units)
         return used / total if total else 0.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 from repro import cancel
 from repro.engine.session import SchedulingSession
@@ -28,7 +28,6 @@ from repro.errors import IterationLimitError
 from repro.obs import trace
 from repro.graph.ddg import DependenceGraph
 from repro.machine.machine import MachineModel
-from repro.machine.mrt import ModuloReservationTable
 from repro.mii.analysis import MIIResult
 from repro.schedule.schedule import Schedule, ScheduleStats
 
@@ -68,19 +67,6 @@ def late_start(
         candidate = start[edge.dst] - latency + edge.distance * ii
         bound = candidate if bound is None else min(bound, candidate)
     return bound
-
-
-def scan_place(
-    mrt: ModuloReservationTable,
-    op,
-    candidates: Iterable[int],
-) -> int | None:
-    """Place *op* at the first candidate cycle with a free unit.
-
-    Delegates to the MRT's vectorized whole-window scan, which tests
-    every candidate row in one rolled-mask operation.
-    """
-    return mrt.scan_place(op, candidates)
 
 
 def default_ii_limit(graph: DependenceGraph, mii: int) -> int:
@@ -160,13 +146,13 @@ def neighbor_directed_attempt(
             window = downward_window(ls, ii)
         else:
             window = upward_window(0, ii)
-        candidates: Iterable[int] = window
+        candidates: Sequence[int] = window
         if stagger:
             cycles = list(window)
             if len(cycles) > 1:
                 shift = stagger % len(cycles)
                 candidates = cycles[shift:] + cycles[:shift]
-        cycle = scan_place(mrt, op, candidates)
+        cycle = mrt.scan_place(op, candidates)
         if cycle is None:
             return None
         start[name] = cycle
@@ -217,7 +203,7 @@ def bidirectional_attempt(
                 window = upward_window(es, ii, ls)
         else:
             window = upward_window(0, ii)
-        cycle = scan_place(mrt, op, window)
+        cycle = mrt.scan_place(op, window)
         if cycle is None:
             return None
         start[name] = cycle

@@ -22,7 +22,6 @@ from repro.schedulers.base import (
     downward_window,
     early_start,
     late_start,
-    scan_place,
 )
 from repro.schedulers.topdown import acyclic_topological_order
 
@@ -60,7 +59,7 @@ class BottomUpScheduler(ModuloScheduler):
             if es is not None and es > ls:
                 return None
             window = downward_window(ls, ii, es)
-            cycle = scan_place(mrt, op, window)
+            cycle = mrt.scan_place(op, window)
             if cycle is None:
                 return None
             start[name] = cycle

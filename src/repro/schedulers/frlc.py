@@ -24,7 +24,6 @@ from repro.schedulers.base import (
     ModuloScheduler,
     early_start,
     late_start,
-    scan_place,
     upward_window,
 )
 
@@ -63,7 +62,7 @@ class FRLCScheduler(ModuloScheduler):
             if ls is not None and es > ls:
                 return None
             window = upward_window(es, ii, ls)
-            cycle = scan_place(mrt, op, window)
+            cycle = mrt.scan_place(op, window)
             if cycle is None:
                 return None
             start[name] = cycle

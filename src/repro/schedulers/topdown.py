@@ -26,7 +26,6 @@ from repro.schedulers.base import (
     ModuloScheduler,
     early_start,
     late_start,
-    scan_place,
     upward_window,
 )
 
@@ -66,7 +65,7 @@ class TopDownScheduler(ModuloScheduler):
             if ls is not None and es > ls:
                 return None
             window = upward_window(es, ii, ls)
-            cycle = scan_place(mrt, op, window)
+            cycle = mrt.scan_place(op, window)
             if cycle is None:
                 return None
             start[name] = cycle

@@ -269,3 +269,62 @@ def test_start_bounds_match_dict_loops(seed, size):
         cycle = rng.randint(-5, 3 * ii)
         start[name] = cycle
         bounds.place(index[name], cycle)
+
+
+def _synthetic_dist(rng, n):
+    """A MinDist-shaped matrix: negative entries and "no path" entries,
+    both exactly NO_PATH and saturated values below the cutoff."""
+    def entry():
+        roll = rng.random()
+        if roll < 0.2:
+            return NO_PATH
+        if roll < 0.35:
+            return NO_PATH + rng.randint(0, -NO_PATH // 2)
+        return rng.randint(-60, 60)
+
+    dist = np.array(
+        [[entry() for _ in range(n)] for _ in range(n)], dtype=np.int64
+    )
+    dist.setflags(write=False)
+    return dist
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_start_bounds_match_naive_formulas_with_reset(seed):
+    """Every op's bounds after every placement equal the Section 3.3
+    formulas evaluated naively over the scheduled ops, across reset()."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    dist = _synthetic_dist(rng, n)
+    index = {f"o{i}": i for i in range(n)}
+    bounds = StartBounds(dist)
+    for _ in range(3):
+        start: dict[str, int] = {}
+        order = list(index)
+        rng.shuffle(order)
+        for name in order[: rng.randint(1, n)]:
+            cycle = rng.randint(-400, 400)
+            start[name] = cycle
+            bounds.place(index[name], cycle)
+            for other, i in index.items():
+                assert bounds.early_start(i) == dict_loop_early_start(
+                    dist, index, start, other
+                )
+                assert bounds.late_start(i) == dict_loop_late_start(
+                    dist, index, start, other
+                )
+        bounds.reset()
+        assert all(
+            bounds.early_start(i) is None and bounds.late_start(i) is None
+            for i in range(n)
+        )
+
+
+def test_start_bounds_unreachable_row_stays_unconstrained():
+    dist = np.array([[0, NO_PATH], [NO_PATH, 0]], dtype=np.int64)
+    bounds = StartBounds(dist)
+    bounds.place(0, -(10**6))
+    assert bounds.early_start(0) == -(10**6)
+    assert bounds.late_start(0) == -(10**6)
+    assert bounds.early_start(1) is None
+    assert bounds.late_start(1) is None

@@ -178,9 +178,54 @@ class _ReferenceMRT:
             if unit_rows[row % self.ii] is not None
         ]
 
+    def fits(self, op, cycle):
+        return self._find_unit(op, cycle) is not None
+
+    def conflicting_ops(self, op, cycle):
+        unit_class = self.machine.class_for(op)
+        span = self.machine.reservation_cycles(op)
+        return {
+            unit_rows[(cycle + offset) % self.ii]
+            for unit_rows in self._table[unit_class.name]
+            for offset in range(span)
+        } - {None}
+
+    def utilisation(self):
+        slots = [
+            slot
+            for unit_rows in self._table.values()
+            for rows in unit_rows
+            for slot in rows
+        ]
+        return sum(slot is not None for slot in slots) / len(slots)
+
+    def reset(self):
+        self.__init__(self.machine, self.ii)
+
+
+#: Mixed unit counts; the unpipelined class takes spans up to 30.
+WIDE_MACHINE = MachineModel(
+    "wide",
+    [
+        UnitClass(FADD, 2),
+        UnitClass(FMUL, 1),
+        UnitClass(FDIV, 2, pipelined=False),
+        UnitClass(MEM, 3),
+    ],
+)
+
+
+def _staggered(window, shift):
+    """A window rotated as the staggered neighbour-directed scans pass it."""
+    cycles = list(window)
+    if len(cycles) < 2:
+        return cycles
+    shift %= len(cycles)
+    return cycles[shift:] + cycles[:shift]
+
 
 class TestBitmaskMRTParity:
-    """The NumPy-occupancy MRT behaves exactly like the seed's table."""
+    """The bitmask MRT behaves exactly like the seed's table."""
 
     def _random_op(self, rng, name):
         opclass, latency = rng.choice(
@@ -227,6 +272,105 @@ class TestBitmaskMRTParity:
             unit = rng.choice(pc_machine.unit_classes()).name
             row = rng.randint(0, ii - 1)
             assert new.occupants(unit, row) == ref.occupants(unit, row)
+
+    def _wide_op(self, rng, name):
+        opclass = rng.choice([FADD, FMUL, FDIV, FDIV, MEM])
+        latency = rng.randint(1, 30) if opclass == FDIV else rng.randint(1, 4)
+        return Operation(name, latency=latency, opclass=opclass)
+
+    def _assert_same_state(self, rng, new, ref, machine, step):
+        """Every read-only query agrees on a random probe."""
+        ii = new.ii
+        for unit in machine.unit_classes():
+            row = rng.randint(0, ii - 1)
+            assert new.occupants(unit.name, row) == ref.occupants(
+                unit.name, row
+            ), (step, unit.name, row)
+        probe = self._wide_op(rng, f"probe{step}")
+        cycle = rng.randint(-2 * ii, 3 * ii)
+        assert new.fits(probe, cycle) == ref.fits(probe, cycle), (
+            step, probe, cycle,
+        )
+        assert new.conflicting_ops(probe, cycle) == ref.conflicting_ops(
+            probe, cycle
+        ), (step, probe, cycle)
+        assert new.utilisation() == pytest.approx(ref.utilisation()), step
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_wide_ii_long_spans_parity(self, seed):
+        """II up to 200, unpipelined spans up to 30 wrapping past row
+        II - 1, list candidates as the staggered scans pass them, and
+        reset() followed by reuse."""
+        rng = random.Random(1000 + seed)
+        ii = rng.choice([rng.randint(1, 40), rng.randint(30, 200), 200])
+        new = ModuloReservationTable(WIDE_MACHINE, ii)
+        ref = _ReferenceMRT(WIDE_MACHINE, ii)
+        live: list[Operation] = []
+        for step in range(400):
+            action = rng.random()
+            if action < 0.3 or not live:
+                op = self._wide_op(rng, f"w{seed}_{step}")
+                # Rows near II - 1 make long spans wrap around.
+                cycle = rng.choice(
+                    [rng.randint(-3 * ii, 4 * ii), ii - 1 - rng.randint(0, 3)]
+                )
+                got, want = new.place(op, cycle), ref.place(op, cycle)
+                assert got == want, (seed, step, op, cycle)
+                if got:
+                    live.append(op)
+            elif action < 0.75:
+                op = self._wide_op(rng, f"s{seed}_{step}")
+                base = rng.randint(-2 * ii, 3 * ii)
+                window = range(base, base + rng.randint(0, 2 * ii))
+                shape = rng.random()
+                if shape < 0.3:
+                    window = range(window.stop - 1, window.start - 1, -1)
+                candidates = window
+                if shape > 0.6:
+                    candidates = _staggered(window, rng.randint(1, ii))
+                got = new.scan_place(op, candidates)
+                want = ref.scan_place(op, candidates)
+                assert got == want, (seed, step, op, candidates)
+                if got is not None:
+                    live.append(op)
+            elif action < 0.97:
+                victim = live.pop(rng.randrange(len(live)))
+                new.unplace(victim)
+                ref.unplace(victim)
+            else:
+                new.reset()
+                ref.reset()
+                live.clear()
+                assert new.utilisation() == 0.0
+            self._assert_same_state(rng, new, ref, WIDE_MACHINE, step)
+
+    def test_wrapping_span_reserves_low_rows(self):
+        mrt = ModuloReservationTable(WIDE_MACHINE, ii=7)
+        div = Operation("d", latency=5, opclass=FDIV)
+        assert mrt.place(div, 12)  # row 5: rows 5, 6, 0, 1, 2
+        assert [r for r in range(7) if mrt.occupants(FDIV, r)] == [
+            0, 1, 2, 5, 6,
+        ]
+        # The second unit takes the same rows; only rows 3-4 stay free.
+        assert mrt.scan_place(Operation("e", 5, FDIV), range(5, 6)) == 5
+        short = Operation("s", latency=2, opclass=FDIV)
+        assert mrt.scan_place(short, [5, 6, 2, 3]) == 3
+        assert mrt.conflicting_ops(short, 6) == {"d", "e"}
+
+    def test_reset_then_reuse_matches_fresh_table(self, pc_machine):
+        used = ModuloReservationTable(pc_machine, ii=9)
+        for k in range(12):
+            used.scan_place(Operation(f"a{k}", 17, FDIV), range(k, k + 9))
+            used.scan_place(Operation(f"m{k}", 2, MEM), [k, k + 1, k - 1])
+        used.reset()
+        fresh = ModuloReservationTable(pc_machine, ii=9)
+        assert used.utilisation() == fresh.utilisation() == 0.0
+        for k in range(12):
+            for table in (used, fresh):
+                table.scan_place(Operation(f"b{k}", 17, FDIV), range(k, k + 9))
+            assert used.occupants(FDIV, k) == fresh.occupants(FDIV, k)
+        # Names placed before the reset may be placed again.
+        assert used.place(Operation("a0", 2, MEM), 0)
 
     def test_ii_zero_and_negative_rejected(self, generic4):
         for ii in (0, -3):

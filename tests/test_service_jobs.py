@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.errors import GraphError
+from repro.graph.circuits import CircuitLimitExceeded
 from repro.service.jobs import Job, JobQueue, JobStatus, WorkerPool
 
 
@@ -120,6 +121,16 @@ class TestWorkerPool:
         assert job.status == JobStatus.FAILED
         assert job.attempts == 1, "deterministic failures must not retry"
         assert job.error["type"] == "GraphError"
+
+    def test_circuit_cap_fails_without_retry(self):
+        def capped(job):
+            raise CircuitLimitExceeded("more than 50000 elementary circuits")
+
+        job = make_job("dense", max_attempts=5)
+        self._drain(capped, [job])
+        assert job.status == JobStatus.FAILED
+        assert job.attempts == 1, "the cap hit repeats on every attempt"
+        assert job.error["type"] == "CircuitLimitExceeded"
 
     def test_to_dict_shape(self):
         job = make_job("x", priority=3)
